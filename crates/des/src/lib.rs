@@ -56,7 +56,6 @@
 #![warn(clippy::all)]
 
 pub mod calendar;
-pub mod disciplines;
 pub mod engine;
 pub mod entities;
 pub mod error;

@@ -553,4 +553,19 @@ mod tests {
         assert!(FsPriorityTable::new(&[], 0).is_err());
         assert!(StartTimeFairQueueing::new(0).is_err());
     }
+
+    #[test]
+    fn deprecated_discipline_alias_is_gone() {
+        // The alias completed its deprecation cycle; its absence is the
+        // contract now. Pin it at the source level so a compat re-export
+        // cannot quietly reappear. The needle is assembled at runtime so
+        // this test's own source (included below) never matches it.
+        let needle = format!("QDisc as {}", "Discipline");
+        for src in [include_str!("lib.rs"), include_str!("qdisc.rs")] {
+            assert!(
+                !src.contains(&needle),
+                "deprecated `Discipline` alias re-introduced"
+            );
+        }
+    }
 }

@@ -21,8 +21,8 @@
 //!
 //! The per-file pass is sharded across the deterministic pool
 //! (`greednet_runtime::parallel_map_indexed`) with an in-task-order
-//! merge, so reports are byte-identical at any `--threads` count; the
-//! `lint-bench` binary measures the speedup into `BENCH_lint.json`.
+//! merge, so reports are byte-identical at any `--threads` count
+//! (pinned by `tests/workspace_clean.rs` at 1, 4 and 8 threads).
 //!
 //! Rules are individually suppressible at a site with
 //!

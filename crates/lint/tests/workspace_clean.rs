@@ -28,6 +28,34 @@ fn real_workspace_is_clean() {
 }
 
 #[test]
+fn reports_are_byte_identical_at_any_thread_count() {
+    // The per-file pass is sharded across the pool and merged in task
+    // order, so the JSON and SARIF reports on the real workspace must
+    // not depend on the thread count.
+    let root = workspace_root();
+    let analyze = |threads: usize| {
+        let opts = greednet_lint::AnalyzeOptions {
+            threads,
+            changed: None,
+        };
+        greednet_lint::analyze_with(&root, &opts).expect("workspace analyzable")
+    };
+    let reference = analyze(1);
+    let (json, sarif) = (reference.json(), reference.sarif());
+    for threads in [4, 8] {
+        let analysis = analyze(threads);
+        assert!(
+            analysis.json() == json,
+            "JSON report at {threads} threads differs from single-thread"
+        );
+        assert!(
+            analysis.sarif() == sarif,
+            "SARIF report at {threads} threads differs from single-thread"
+        );
+    }
+}
+
+#[test]
 fn allow_budget_is_respected() {
     // The acceptance bar: at most 10 annotated allow sites across the
     // workspace, every one carrying a reason.

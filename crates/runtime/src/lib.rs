@@ -19,8 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bench_diff;
-pub mod bench_json;
 pub mod experiment;
 pub mod pool;
 pub mod reduce;
@@ -28,7 +26,6 @@ pub mod report;
 pub mod seed;
 pub mod sweep;
 
-pub use bench_json::BenchJson;
 pub use experiment::{Budget, ExpCtx, Experiment, Registry};
 pub use pool::{available_threads, parallel_map_indexed, parallel_map_indexed_profiled};
 pub use reduce::{det_max, det_mean, det_sum};

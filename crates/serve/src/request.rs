@@ -40,7 +40,7 @@
 
 use crate::canon::{canonical_key, key_hex};
 use crate::error::ServeError;
-use crate::json::{parse, write_f64, Json};
+use crate::json::{parse, Json};
 use crate::ops::{
     canonical_alloc_name, canonical_kind_name, canonical_largen_name, canonical_service_json,
     ExpSpec, LargenSpec, NashSpec, ProtectSpec, SimulateSpec, TableSpec, UtilityParam,
@@ -650,7 +650,7 @@ pub fn stats_record(id: Option<&str>, stats: &crate::cache::CacheStats) -> Strin
         ("evictions".into(), Json::Num(u64_to_num(stats.evictions))),
         ("entries".into(), Json::Num(usize_to_num(stats.entries))),
         ("capacity".into(), Json::Num(usize_to_num(stats.capacity))),
-        ("hit_rate".into(), Json::Raw(write_f64(stats.hit_rate()))),
+        ("hit_rate".into(), Json::Num(stats.hit_rate())),
     ])
     .to_compact()
 }
@@ -658,6 +658,33 @@ pub fn stats_record(id: Option<&str>, stats: &crate::cache::CacheStats) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
+
+    #[test]
+    fn stats_record_bytes_are_pinned() {
+        let stats = CacheStats {
+            hits: 1,
+            misses: 3,
+            evictions: 2,
+            entries: 5,
+            capacity: 8,
+        };
+        assert_eq!(
+            stats_record(Some("s"), &stats),
+            r#"{"type":"stats","id":"s","hits":1.0,"misses":3.0,"evictions":2.0,"entries":5.0,"capacity":8.0,"hit_rate":0.25}"#
+        );
+        let empty = CacheStats {
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            entries: 0,
+            capacity: 0,
+        };
+        assert_eq!(
+            stats_record(None, &empty),
+            r#"{"type":"stats","id":null,"hits":0.0,"misses":0.0,"evictions":0.0,"entries":0.0,"capacity":0.0,"hit_rate":0.0}"#
+        );
+    }
 
     fn key_of(line: &str) -> u128 {
         Request::parse_line(line).unwrap().kind.cache_key().unwrap()

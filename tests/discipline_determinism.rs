@@ -1,5 +1,5 @@
 //! Regression guard for the GN01 container migration and the GN07
-//! comparator migration in `greednet_des::disciplines`: the map-backed
+//! comparator migration in `greednet_des::qdisc`: the map-backed
 //! disciplines (`FsPriorityTable` priority levels,
 //! `StartTimeFairQueueing` start tags) and the `total_cmp`-ordered ones
 //! (`PreemptivePriority::by_ascending_rate`, SFQ's tagged `min_by`
