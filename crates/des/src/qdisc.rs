@@ -6,28 +6,36 @@
 //! only ever cover active packets); preemption is expressed simply by
 //! the shares changing when an arrival occurs.
 //!
-//! | QDisc | Shares | Induced allocation (mean queues) |
-//! |---|---|---|
-//! | [`Fifo`] | all on oldest packet | proportional `r_i/(1−Σr)` |
-//! | [`LifoPreemptive`] | all on newest packet | proportional |
-//! | [`ProcessorSharing`] | `1/k` each | proportional |
-//! | [`PreemptivePriority`] | oldest packet of best class | serial `g(Λ_k)−g(Λ_{k−1})` |
-//! | [`FsPriorityTable`] | Table 1 levels, preemptive | **Fair Share** |
-//! | [`StartTimeFairQueueing`] | min start-tag, non-preemptive | ≈ Fair-Share-like (§5.2) |
+//! | QDisc | Shares | Induced allocation (mean queues) | Cost per event |
+//! |---|---|---|---|
+//! | [`Fifo`] | all on oldest packet | proportional `r_i/(1−Σr)` | O(k) id scan |
+//! | [`LifoPreemptive`] | all on newest packet | proportional | O(k) id scan |
+//! | [`ProcessorSharing`] | `1/k` each | proportional | O(k) fill |
+//! | [`PreemptivePriority`] | oldest packet of best class | serial `g(Λ_k)−g(Λ_{k−1})` | O(log L) hooks + O(k) |
+//! | [`FsPriorityTable`] | Table 1 levels, preemptive | **Fair Share** | O(log L) hooks + O(k) |
+//! | [`StartTimeFairQueueing`] | min start-tag, non-preemptive | ≈ Fair-Share-like (§5.2) | O(log k) hooks + O(k) |
+//!
+//! `k` is the number of active packets and `L` the number of priority
+//! levels. The priority disciplines keep their selection state in their
+//! arrival/departure hooks (per-level FIFO queues, an ordered start-tag
+//! set), so `shares` only finds the chosen packet's index (one linear
+//! pass) and writes the dense share vector the trait asks for.
 //!
 //! This module is the typed-unit successor of the old `disciplines`
 //! module: the trait was renamed `Discipline` → `QDisc` (the deprecated
 //! alias has since been removed) and [`ActivePacket`] now carries
-//! [`SimTime`]/[`Work`] fields instead of bare `f64`s. The share logic
-//! itself is unchanged — the engine-equivalence tests pin that every
-//! discipline produces bitwise-identical simulations.
+//! [`SimTime`]/[`Work`] fields instead of bare `f64`s. Which packet each
+//! discipline serves is unchanged: `tests/qdisc_reference.rs` runs the
+//! queue-based priority disciplines against copies of the earlier
+//! scan-based ones and compares every simulation result bit for bit.
 
 use crate::error::DesError;
 use crate::rng::ExpStream;
 use crate::units::{SimTime, Work};
 use crate::Result;
 use greednet_queueing::fair_share::priority_table;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Debug;
 
 /// A packet currently in the system.
@@ -164,13 +172,121 @@ impl QDisc for ProcessorSharing {
     }
 }
 
+/// Preemptive priority over levels, FIFO within a level: the selection
+/// structure shared by [`PreemptivePriority`] and [`FsPriorityTable`].
+///
+/// One queue of packet ids per level, each in ascending id order, plus the
+/// set of non-empty levels. The engine numbers packets in arrival order,
+/// so an arrival appends to its queue and the head of the lowest
+/// non-empty level is exactly "the smallest id among the best level".
+/// With `L` levels an arrival costs O(log L) amortized, the departure of
+/// the served packet pops a queue front, and the head is found in
+/// O(log L).
+#[derive(Debug, Clone)]
+struct LevelQueues {
+    /// Packet ids per level (index 0 is served first), ascending.
+    queues: Vec<VecDeque<u64>>,
+    /// Levels whose queue is non-empty; the first one is in service.
+    nonempty: BTreeSet<usize>,
+    /// Packets queued over all levels.
+    len: usize,
+}
+
+impl LevelQueues {
+    fn new(levels: usize) -> Self {
+        LevelQueues {
+            queues: vec![VecDeque::new(); levels.max(1)],
+            nonempty: BTreeSet::new(),
+            len: 0,
+        }
+    }
+
+    /// Queues `id` at `level`; a level past the last one means the last
+    /// (lowest-priority) level.
+    // gn:hot(amortized)
+    fn enqueue(&mut self, level: usize, id: u64) {
+        let level = level.min(self.queues.len() - 1);
+        if let Some(q) = self.queues.get_mut(level) {
+            let pos = q.partition_point(|&x| x < id);
+            q.insert(pos, id);
+            self.nonempty.insert(level);
+            self.len += 1;
+        }
+    }
+
+    /// Removes `id` from the level that holds it, searching from the
+    /// level in service down (the served packet is found at once).
+    // gn:hot
+    fn dequeue(&mut self, id: u64) {
+        let queues = &self.queues;
+        let Some((level, pos)) = self.nonempty.iter().find_map(|&l| {
+            let pos = queues.get(l)?.binary_search(&id).ok()?;
+            Some((l, pos))
+        }) else {
+            return;
+        };
+        if let Some(q) = self.queues.get_mut(level) {
+            q.remove(pos);
+            if q.is_empty() {
+                self.nonempty.remove(&level);
+            }
+        }
+        self.len -= 1;
+    }
+
+    /// The packet to serve: the head of the lowest non-empty level.
+    // gn:hot
+    fn head(&self) -> Option<u64> {
+        let level = *self.nonempty.first()?;
+        self.queues.get(level)?.front().copied()
+    }
+
+    /// Writes shares that give the whole server to [`Self::head`]. An id
+    /// that left without `on_departure` is dropped once it reaches the
+    /// head, and a packet never announced through `on_arrival` is served
+    /// only when no announced packet is active (oldest first), so the
+    /// shares still sum to 1.
+    // gn:hot(amortized)
+    fn serve_head(&mut self, active: &[ActivePacket], out: &mut Vec<f64>) {
+        out.clear();
+        if active.is_empty() {
+            return;
+        }
+        debug_assert_eq!(self.len, active.len(), "QDisc hooks out of step");
+        while let Some(id) = self.head() {
+            if let Some(idx) = active.iter().position(|p| p.id == id) {
+                single_share(out, active.len(), idx);
+                return;
+            }
+            self.dequeue(id);
+        }
+        if let Some(idx) = oldest(active, |_| true) {
+            single_share(out, active.len(), idx);
+        }
+    }
+}
+
+#[cfg(test)]
+impl LevelQueues {
+    fn level_of(&self, id: u64) -> Option<usize> {
+        self.queues.iter().position(|q| q.contains(&id))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0 && self.nonempty.is_empty() && self.queues.iter().all(VecDeque::is_empty)
+    }
+}
+
 /// Preemptive-resume head-of-line priority by *user class*: user `u` has
 /// fixed priority `class[u]` (smaller = served first); FIFO within class.
 /// With classes ordered by ascending rate this induces the serial
-/// allocation `c_(k) = g(Λ_k) − g(Λ_{k−1})`.
+/// allocation `c_(k) = g(Λ_k) − g(Λ_{k−1})`. A packet of a user the
+/// class list does not cover joins the lowest class.
 #[derive(Debug, Clone)]
 pub struct PreemptivePriority {
+    /// Dense rank of each user's class (0 = served first).
     pub(crate) class: Vec<usize>,
+    queues: LevelQueues,
 }
 
 impl PreemptivePriority {
@@ -184,7 +300,18 @@ impl PreemptivePriority {
                 detail: "no user classes".into(),
             });
         }
-        Ok(PreemptivePriority { class })
+        // One queue per distinct class, however sparse the class numbers.
+        let mut distinct = class.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let rank = class
+            .iter()
+            .map(|&c| distinct.partition_point(|&d| d < c))
+            .collect();
+        Ok(PreemptivePriority {
+            class: rank,
+            queues: LevelQueues::new(distinct.len()),
+        })
     }
 
     /// Classes assigned by ascending rate (lightest user = highest
@@ -204,7 +331,10 @@ impl PreemptivePriority {
         for (rank, &u) in order.iter().enumerate() {
             class[u] = rank;
         }
-        Ok(PreemptivePriority { class })
+        Ok(PreemptivePriority {
+            class,
+            queues: LevelQueues::new(rates.len()),
+        })
     }
 }
 
@@ -212,22 +342,18 @@ impl QDisc for PreemptivePriority {
     fn name(&self) -> &'static str {
         "preemptive priority"
     }
+    // gn:hot(amortized)
+    fn on_arrival(&mut self, pkt: &ActivePacket, _now: SimTime) {
+        let level = self.class.get(pkt.user).copied().unwrap_or(usize::MAX);
+        self.queues.enqueue(level, pkt.id);
+    }
     // gn:hot
-    fn on_arrival(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
-    // gn:hot
-    fn on_departure(&mut self, _pkt: &ActivePacket, _now: SimTime) {}
+    fn on_departure(&mut self, pkt: &ActivePacket, _now: SimTime) {
+        self.queues.dequeue(pkt.id);
+    }
     // gn:hot(amortized)
     fn shares(&mut self, active: &[ActivePacket], _now: SimTime, out: &mut Vec<f64>) {
-        out.clear();
-        if active.is_empty() {
-            return;
-        }
-        let Some(best_class) = active.iter().map(|p| self.class[p.user]).min() else {
-            return;
-        };
-        if let Some(idx) = oldest(active, |p| self.class[p.user] == best_class) {
-            single_share(out, active.len(), idx);
-        }
+        self.queues.serve_head(active, out);
     }
 }
 
@@ -235,17 +361,15 @@ impl QDisc for PreemptivePriority {
 /// assigned a priority *level* with probability proportional to user `u`'s
 /// per-level rate in the Fair Share priority table; levels are then served
 /// by preemptive-resume priority (FIFO within level). Realizes the Fair
-/// Share allocation function packet-by-packet.
+/// Share allocation function packet-by-packet. A packet of a user beyond
+/// the declared rates still takes its random draw (so later draws stay in
+/// step) and joins the lowest level.
 #[derive(Debug)]
 pub struct FsPriorityTable {
     /// Per-user cumulative level probabilities.
     cumulative: Vec<Vec<f64>>,
-    /// Per-packet assigned priority level, keyed by packet id. A
-    /// `BTreeMap` (not `HashMap`): the map is consulted during the
-    /// deterministic event loop, and ordered containers keep every code
-    /// path (including any future iteration) independent of process-level
-    /// hash seeds (GN01).
-    pub(crate) levels: BTreeMap<u64, usize>,
+    /// Active packets queued by their assigned level.
+    queues: LevelQueues,
     rng: ExpStream,
 }
 
@@ -263,7 +387,7 @@ impl FsPriorityTable {
             });
         }
         let table = priority_table(rates);
-        let cumulative = table
+        let cumulative: Vec<Vec<f64>> = table
             .iter()
             .map(|row| {
                 let total: f64 = row.iter().sum();
@@ -282,9 +406,10 @@ impl FsPriorityTable {
                 c
             })
             .collect();
+        let levels = cumulative.iter().map(Vec::len).max().unwrap_or(1);
         Ok(FsPriorityTable {
             cumulative,
-            levels: BTreeMap::new(),
+            queues: LevelQueues::new(levels),
             rng: ExpStream::new(seed),
         })
     }
@@ -297,33 +422,49 @@ impl QDisc for FsPriorityTable {
     // gn:hot(amortized)
     fn on_arrival(&mut self, pkt: &ActivePacket, _now: SimTime) {
         let u = self.rng.uniform();
-        let cum = &self.cumulative[pkt.user];
-        let level = cum.iter().position(|&c| u < c).unwrap_or(cum.len() - 1);
-        self.levels.insert(pkt.id, level);
+        let level = self.cumulative.get(pkt.user).map_or(usize::MAX, |cum| {
+            cum.iter()
+                .position(|&c| u < c)
+                .unwrap_or(cum.len().saturating_sub(1))
+        });
+        self.queues.enqueue(level, pkt.id);
     }
     // gn:hot
     fn on_departure(&mut self, pkt: &ActivePacket, _now: SimTime) {
-        self.levels.remove(&pkt.id);
+        self.queues.dequeue(pkt.id);
     }
     // gn:hot(amortized)
     fn shares(&mut self, active: &[ActivePacket], _now: SimTime, out: &mut Vec<f64>) {
-        out.clear();
-        if active.is_empty() {
-            return;
-        }
-        // Every active packet got a level in `on_arrival`; a missing id
-        // would mean the engine skipped the arrival hook, so fall back to
-        // treating such a packet as lowest priority rather than panic.
-        debug_assert!(active.iter().all(|p| self.levels.contains_key(&p.id)));
-        let level_of = |p: &ActivePacket| self.levels.get(&p.id).copied().unwrap_or(usize::MAX);
-        let Some(best_level) = active.iter().map(level_of).min() else {
-            return;
-        };
-        if let Some(idx) = oldest(active, |p| level_of(p) == best_level) {
-            single_share(out, active.len(), idx);
-        }
+        self.queues.serve_head(active, out);
     }
 }
+
+/// An SFQ queue entry: start tag (ordered by `total_cmp`), then packet id.
+#[derive(Debug, Clone, Copy)]
+struct StartKey {
+    tag: f64,
+    id: u64,
+}
+
+impl Ord for StartKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.tag.total_cmp(&other.tag).then(self.id.cmp(&other.id))
+    }
+}
+
+impl PartialOrd for StartKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for StartKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for StartKey {}
 
 /// Start-time Fair Queueing (SFQ): a practical, non-preemptive
 /// approximation of head-of-line processor sharing in the spirit of the
@@ -331,15 +472,19 @@ impl QDisc for FsPriorityTable {
 /// packet gets a start tag `S = max(v, F_prev(user))` and finish tag
 /// `F = S + size`; the server (non-preemptively) serves the packet with
 /// the smallest start tag and the virtual time `v` is the start tag of the
-/// packet in service.
+/// packet in service. A user beyond the `n` given at construction gets
+/// per-user state on its first packet, starting from `F_prev = 0` like
+/// every other user.
 #[derive(Debug)]
 pub struct StartTimeFairQueueing {
     v: f64,
     finish_prev: Vec<f64>,
-    /// Per-packet start tag, keyed by packet id. Ordered (`BTreeMap`) for
-    /// the same determinism reason as [`FsPriorityTable::levels`] (GN01).
-    start_tags: BTreeMap<u64, f64>,
-    current: Option<u64>,
+    /// Active packets by (start tag, id): the first is served next. An
+    /// ordered set (`BTreeSet`, not a hash set) so that no code path
+    /// depends on a process-level hash seed (GN01).
+    by_start: BTreeSet<StartKey>,
+    /// The packet in service.
+    current: Option<StartKey>,
 }
 
 impl StartTimeFairQueueing {
@@ -356,7 +501,7 @@ impl StartTimeFairQueueing {
         Ok(StartTimeFairQueueing {
             v: 0.0,
             finish_prev: vec![0.0; n],
-            start_tags: BTreeMap::new(),
+            by_start: BTreeSet::new(),
             current: None,
         })
     }
@@ -368,15 +513,24 @@ impl QDisc for StartTimeFairQueueing {
     }
     // gn:hot(amortized)
     fn on_arrival(&mut self, pkt: &ActivePacket, _now: SimTime) {
+        if pkt.user >= self.finish_prev.len() {
+            self.finish_prev.resize(pkt.user + 1, 0.0);
+        }
         let s = self.v.max(self.finish_prev[pkt.user]);
-        self.start_tags.insert(pkt.id, s);
+        self.by_start.insert(StartKey { tag: s, id: pkt.id });
         self.finish_prev[pkt.user] = s + pkt.size.get();
     }
     // gn:hot
     fn on_departure(&mut self, pkt: &ActivePacket, _now: SimTime) {
-        self.start_tags.remove(&pkt.id);
-        if self.current == Some(pkt.id) {
-            self.current = None;
+        let key = match self.current {
+            Some(cur) if cur.id == pkt.id => {
+                self.current = None;
+                Some(cur)
+            }
+            _ => self.by_start.iter().find(|k| k.id == pkt.id).copied(),
+        };
+        if let Some(key) = key {
+            self.by_start.remove(&key);
         }
     }
     // gn:hot(amortized)
@@ -385,31 +539,31 @@ impl QDisc for StartTimeFairQueueing {
         if active.is_empty() {
             return;
         }
+        debug_assert_eq!(self.by_start.len(), active.len(), "QDisc hooks out of step");
         // Non-preemptive: stick with the packet in service if still present.
-        if let Some(cur) = self.current {
-            if let Some(idx) = active.iter().position(|p| p.id == cur) {
+        if let Some(cur) = self.current.take() {
+            if let Some(idx) = active.iter().position(|p| p.id == cur.id) {
+                self.current = Some(cur);
                 single_share(out, active.len(), idx);
                 return;
             }
-            self.current = None;
+            self.by_start.remove(&cur);
         }
-        // Tags are assigned in `on_arrival`; a missing id would mean the
-        // engine skipped the hook, so such a packet sorts last instead of
-        // panicking.
-        debug_assert!(active.iter().all(|p| self.start_tags.contains_key(&p.id)));
-        let tag_of =
-            |p: &ActivePacket| self.start_tags.get(&p.id).copied().unwrap_or(f64::INFINITY);
-        let Some(idx) = active
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| tag_of(a).total_cmp(&tag_of(b)).then(a.id.cmp(&b.id)))
-            .map(|(i, _)| i)
-        else {
-            return;
-        };
-        self.current = Some(active[idx].id);
-        self.v = tag_of(&active[idx]);
-        single_share(out, active.len(), idx);
+        // Ids that left without `on_departure` are dropped as they surface.
+        while let Some(&head) = self.by_start.first() {
+            if let Some(idx) = active.iter().position(|p| p.id == head.id) {
+                self.current = Some(head);
+                self.v = head.tag;
+                single_share(out, active.len(), idx);
+                return;
+            }
+            self.by_start.remove(&head);
+        }
+        // Only packets never announced through `on_arrival` are active:
+        // without start tags they are served oldest first.
+        if let Some(idx) = oldest(active, |_| true) {
+            single_share(out, active.len(), idx);
+        }
     }
 }
 
@@ -476,6 +630,9 @@ mod tests {
     fn priority_serves_best_class_oldest() {
         let mut d = PreemptivePriority::new(vec![1, 0]).unwrap(); // user 1 first
         let active = vec![pkt(1, 0, 0.1), pkt(2, 1, 0.2), pkt(3, 1, 0.3)];
+        for p in &active {
+            d.on_arrival(p, t(p.arrival.get()));
+        }
         let mut out = Vec::new();
         d.shares(&active, t(1.0), &mut out);
         assert_eq!(out, vec![0.0, 1.0, 0.0]); // oldest of user 1's packets
@@ -496,11 +653,11 @@ mod tests {
             let user = (trial % 4) as usize;
             let p = pkt(trial, user, 0.0);
             d.on_arrival(&p, t(0.0));
-            let level = d.levels[&trial];
+            let level = d.queues.level_of(trial).expect("queued on arrival");
             assert!(level <= user, "user {user} got level {level}");
             d.on_departure(&p, t(0.0));
         }
-        assert!(d.levels.is_empty());
+        assert!(d.queues.is_empty());
     }
 
     #[test]
@@ -513,13 +670,14 @@ mod tests {
         for id in 0..n {
             let p = pkt(id, 1, 0.0);
             d.on_arrival(&p, t(0.0));
-            if d.levels[&id] == 0 {
+            if d.queues.level_of(id).expect("queued on arrival") == 0 {
                 level0 += 1;
             }
             d.on_departure(&p, t(0.0));
         }
         let frac = level0 as f64 / n as f64;
         assert!((frac - 1.0 / 3.0).abs() < 0.01, "frac {frac}");
+        assert!(d.queues.is_empty());
     }
 
     #[test]
@@ -544,6 +702,65 @@ mod tests {
         let active = vec![p2.clone(), p3.clone()];
         d.shares(&active, t(1.0), &mut out);
         assert_eq!(out, vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn priority_compresses_sparse_classes_in_order() {
+        let d = PreemptivePriority::new(vec![100, 5, 100, 7]).unwrap();
+        assert_eq!(d.class, vec![2, 0, 2, 1]);
+    }
+
+    #[test]
+    fn level_queues_serve_smallest_id_of_best_level() {
+        let mut q = LevelQueues::new(3);
+        // Out-of-order ids still queue in id order.
+        for (level, id) in [(2, 1), (1, 5), (1, 3), (2, 0)] {
+            q.enqueue(level, id);
+        }
+        assert_eq!(q.head(), Some(3));
+        q.dequeue(3);
+        assert_eq!(q.head(), Some(5));
+        q.dequeue(5);
+        assert_eq!(q.head(), Some(0));
+        q.enqueue(9, 7); // past the last level: lowest priority
+        assert_eq!(q.level_of(7), Some(2));
+        for id in [0, 1, 7] {
+            q.dequeue(id);
+        }
+        q.dequeue(42); // unknown ids are ignored
+        assert!(q.is_empty());
+    }
+
+    /// Runs a 2-user simulation and returns its per-user mean queues, bit
+    /// for bit.
+    fn two_user_queues(d: &mut dyn QDisc) -> Vec<u64> {
+        let cfg = crate::sim::SimConfig::new(vec![0.3, 0.4], 500.0, 3);
+        let r = crate::sim::Simulator::new(cfg).unwrap().run(d).unwrap();
+        assert!(r.completed.iter().all(|&c| c > 0), "{:?}", r.completed);
+        r.mean_queue.iter().map(|q| q.to_bits()).collect()
+    }
+
+    #[test]
+    fn priority_puts_users_beyond_its_classes_in_the_lowest_class() {
+        // One class: user 1 shares it with user 0, which is plain FIFO.
+        let d = &mut PreemptivePriority::new(vec![0]).unwrap();
+        assert_eq!(two_user_queues(d), two_user_queues(&mut Fifo));
+    }
+
+    #[test]
+    fn fs_table_puts_users_beyond_its_rates_in_the_lowest_level() {
+        // A 1-user table has one level, so every packet is served FIFO.
+        let d = &mut FsPriorityTable::new(&[0.3], 5).unwrap();
+        assert_eq!(two_user_queues(d), two_user_queues(&mut Fifo));
+    }
+
+    #[test]
+    fn sfq_grows_state_for_users_beyond_n() {
+        let mut d = StartTimeFairQueueing::new(1).unwrap();
+        let grown = two_user_queues(&mut d);
+        assert_eq!(d.finish_prev.len(), 2);
+        let sized = two_user_queues(&mut StartTimeFairQueueing::new(2).unwrap());
+        assert_eq!(grown, sized);
     }
 
     #[test]

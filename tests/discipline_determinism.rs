@@ -1,14 +1,14 @@
-//! Regression guard for the GN01 container migration and the GN07
-//! comparator migration in `greednet_des::qdisc`: the map-backed
-//! disciplines (`FsPriorityTable` priority levels,
-//! `StartTimeFairQueueing` start tags) and the `total_cmp`-ordered ones
-//! (`PreemptivePriority::by_ascending_rate`, SFQ's tagged `min_by`
-//! selection) must produce **bitwise identical per-user allocations**
-//! however many worker threads run the replication batch. The maps used
-//! to be `HashMap`s and the comparators used to be
-//! `partial_cmp(..).unwrap()`; these tests pin the deterministic
-//! behavior so a future regression (or revert) is caught by
-//! `cargo test`, not by a corrupted paper-vs-measured table.
+//! Regression guard for the GN01 container rule and the GN07 comparator
+//! rule in `greednet_des::qdisc`: the disciplines with selection state
+//! (`FsPriorityTable`'s per-level queues, `StartTimeFairQueueing`'s
+//! ordered start-tag set) and the `total_cmp`-ordered ones
+//! (`PreemptivePriority::by_ascending_rate`, SFQ's start-tag order) must
+//! produce **bitwise identical per-user allocations** however many
+//! worker threads run the replication batch. That state once lived in
+//! `HashMap`s and the comparators used to be `partial_cmp(..).unwrap()`;
+//! these tests pin the deterministic behavior so a future regression (or
+//! revert) is caught by `cargo test`, not by a corrupted
+//! paper-vs-measured table.
 
 use greednet_des::qdisc::{FsPriorityTable, PreemptivePriority, QDisc, StartTimeFairQueueing};
 use greednet_des::sim::{SimConfig, Simulator};
@@ -58,7 +58,7 @@ where
 fn fs_priority_table_allocations_are_thread_count_invariant() {
     assert_thread_invariant(
         |seed| FsPriorityTable::new(&RATES, seed ^ 0xA5).expect("discipline"),
-        "FsPriorityTable (BTreeMap levels)",
+        "FsPriorityTable (per-level queues)",
     );
 }
 
@@ -66,7 +66,7 @@ fn fs_priority_table_allocations_are_thread_count_invariant() {
 fn start_time_fair_queueing_allocations_are_thread_count_invariant() {
     assert_thread_invariant(
         |_| StartTimeFairQueueing::new(RATES.len()).expect("discipline"),
-        "StartTimeFairQueueing (BTreeMap start tags)",
+        "StartTimeFairQueueing (ordered start tags)",
     );
 }
 
